@@ -13,9 +13,14 @@
 //	lofcoord -shards "..." -hedge 20ms -partitioner range
 //
 // In -shards, ';' separates shards and ',' separates interchangeable
-// replicas of one shard. Endpoints mirror lofserve's API (POST /v1/fit,
-// POST /v1/score, GET /v1/model, /healthz, /readyz, /metrics), so clients
-// need not know whether they talk to a single node or a coordinator.
+// replicas of one shard. Endpoints are lofserve's API (POST /v1/fit,
+// POST /v1/score, GET /v1/model, /healthz, /readyz, /metrics), served by
+// the same HTTP front end, so clients need not know whether they talk to a
+// single node or a coordinator. The limits are lofserve's defaults too: at
+// most 64 requests in flight, with excess shed as 429 + Retry-After
+// (?mode=degraded may still enter a small reserve); every request bounded
+// by a 30 s timeout and a 64 MiB body limit; at most 100 000 queries per
+// score batch. Each request is logged as one structured line.
 //
 // A background repair loop re-pushes the current snapshot to replicas that
 // report unready or a stale version, so restarted shards converge without

@@ -376,15 +376,8 @@ func (f *jsonFloat) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// ModelInfo mirrors the server's model summary.
-type ModelInfo struct {
-	Objects  int    `json:"objects"`
-	Dims     int    `json:"dims"`
-	MinPtsLB int    `json:"minPtsLB"`
-	MinPtsUB int    `json:"minPtsUB"`
-	Metric   string `json:"metric"`
-	Distinct bool   `json:"distinct"`
-}
+// ModelInfo is the server's model summary.
+type ModelInfo = server.ModelInfo
 
 // FitResult is a fit response: the installed model's summary plus the
 // server-side fit latency.

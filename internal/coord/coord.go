@@ -84,10 +84,6 @@ type Config struct {
 	// ?mode=coreset serving and preferred by the degraded fallback. Zero
 	// means 2048; negative disables coreset derivation.
 	CoresetSample int
-	// PruneEps is the ?mode=pruned certification band half-width: queries
-	// whose LOF interval lies inside [1/(1+eps), 1+eps] are answered 1
-	// without exact evaluation. Zero means lof.DefaultPruneEps.
-	PruneEps float64
 	// Workers bounds the coordinator-side merge/eval parallelism per batch.
 	// Zero means GOMAXPROCS.
 	Workers int
@@ -108,23 +104,10 @@ type state struct {
 	dim      int
 	lb, ub   int
 	agg      core.Aggregate
-	info     ModelInfo
+	info     server.ModelInfo
 	encoded  [][]byte // per-shard snapshots, kept for repair re-pushes
 	degraded *lof.Model
 	coreset  *lof.Model
-}
-
-// ModelInfo mirrors the single-node server's model summary, so the same
-// clients understand both.
-type ModelInfo struct {
-	Objects  int    `json:"objects"`
-	Dims     int    `json:"dims"`
-	MinPtsLB int    `json:"minPtsLB"`
-	MinPtsUB int    `json:"minPtsUB"`
-	Metric   string `json:"metric"`
-	Distinct bool   `json:"distinct"`
-	Shards   int    `json:"shards,omitempty"`
-	Version  uint64 `json:"version,omitempty"`
 }
 
 // Coordinator owns the replica sets and the installed state. Safe for
@@ -141,18 +124,8 @@ type Coordinator struct {
 	// Per-shard observability: RPC latency and failures by shard index.
 	shardLatency []*obs.Histogram
 	shardFails   []expvar.Int
-	degradedHits expvar.Int
 	repairPushes expvar.Int
 	fits         expvar.Int
-	scoreQueries expvar.Int
-	// scoreModes counts score requests by the mode that actually served
-	// them; certified counts pruned-mode queries certified without exact
-	// evaluation.
-	scoreModes expvar.Map
-	certified  expvar.Int
-
-	// Per-route HTTP observability (see http.go's wrap middleware).
-	routes map[string]*coordRoute
 }
 
 // New validates cfg and returns a Coordinator with one client per replica.
@@ -166,14 +139,11 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.CoresetSample == 0 {
 		cfg.CoresetSample = 2048
 	}
-	if cfg.PruneEps == 0 {
-		cfg.PruneEps = lof.DefaultPruneEps
-	}
 	if cfg.RepairInterval <= 0 {
 		cfg.RepairInterval = 2 * time.Second
 	}
 	if cfg.Logger == nil {
-		cfg.Logger = slog.New(discardHandler{})
+		cfg.Logger = server.DiscardLogger()
 	}
 	c := &Coordinator{
 		cfg:          cfg,
@@ -181,15 +151,6 @@ func New(cfg Config) (*Coordinator, error) {
 		pool:         pool.New(cfg.Workers),
 		shardLatency: make([]*obs.Histogram, len(cfg.Targets)),
 		shardFails:   make([]expvar.Int, len(cfg.Targets)),
-		routes:       make(map[string]*coordRoute, len(coordRoutes)),
-	}
-	for _, route := range coordRoutes {
-		c.routes[route] = &coordRoute{latency: obs.NewHistogram(obs.DefaultLatencyBuckets)}
-	}
-	// Pre-seed every mode label so the metrics exposition shape is stable
-	// from the first scrape.
-	for _, mode := range []string{"full", "pruned", "coreset", "degraded"} {
-		c.scoreModes.Add(mode, 0)
 	}
 	for s, urls := range cfg.Targets {
 		rs, err := client.NewReplicaSet(urls, cfg.Client)
@@ -206,20 +167,12 @@ func New(cfg Config) (*Coordinator, error) {
 func (c *Coordinator) Shards() int { return len(c.replicas) }
 
 // Info returns the installed model summary, or false when none is.
-func (c *Coordinator) Info() (ModelInfo, bool) {
+func (c *Coordinator) Info() (server.ModelInfo, bool) {
 	st := c.state.Load()
 	if st == nil {
-		return ModelInfo{}, false
+		return server.ModelInfo{}, false
 	}
 	return st.info, true
-}
-
-// Version returns the installed snapshot version (0 before the first fit).
-func (c *Coordinator) Version() uint64 {
-	if st := c.state.Load(); st != nil {
-		return st.version
-	}
-	return 0
 }
 
 // Fit fits the model globally, splits it, and replicates one sub-snapshot
@@ -228,27 +181,27 @@ func (c *Coordinator) Version() uint64 {
 // by the repair loop. The full fitted model is released after the split —
 // the coordinator keeps only the encoded parts and the small degraded
 // fallback.
-func (c *Coordinator) Fit(ctx context.Context, fitCfg server.FitConfig, data [][]float64) (ModelInfo, error) {
+func (c *Coordinator) Fit(ctx context.Context, fitCfg server.FitConfig, data [][]float64) (server.ModelInfo, error) {
 	c.fitMu.Lock()
 	defer c.fitMu.Unlock()
 	det, err := fitCfg.Detector()
 	if err != nil {
-		return ModelInfo{}, err
+		return server.ModelInfo{}, err
 	}
 	res, err := det.FitContext(ctx, data)
 	if err != nil {
-		return ModelInfo{}, err
+		return server.ModelInfo{}, err
 	}
 	m, err := res.Model()
 	if err != nil {
-		return ModelInfo{}, err
+		return server.ModelInfo{}, err
 	}
 	st, err := c.buildState(m)
 	if err != nil {
-		return ModelInfo{}, err
+		return server.ModelInfo{}, err
 	}
 	if err := c.distribute(ctx, st); err != nil {
-		return ModelInfo{}, err
+		return server.ModelInfo{}, err
 	}
 	c.state.Store(st)
 	c.fits.Add(1)
@@ -261,15 +214,15 @@ func (c *Coordinator) Fit(ctx context.Context, fitCfg server.FitConfig, data [][
 
 // Install splits and replicates an already-fitted model — the preload path
 // (lofcoord -model) and the test seam.
-func (c *Coordinator) Install(ctx context.Context, m *lof.Model) (ModelInfo, error) {
+func (c *Coordinator) Install(ctx context.Context, m *lof.Model) (server.ModelInfo, error) {
 	c.fitMu.Lock()
 	defer c.fitMu.Unlock()
 	st, err := c.buildState(m)
 	if err != nil {
-		return ModelInfo{}, err
+		return server.ModelInfo{}, err
 	}
 	if err := c.distribute(ctx, st); err != nil {
-		return ModelInfo{}, err
+		return server.ModelInfo{}, err
 	}
 	c.state.Store(st)
 	return st.info, nil
@@ -295,19 +248,9 @@ func (c *Coordinator) buildState(m *lof.Model) (*state, error) {
 		agg:     coreAggregate(mcfg.Aggregation),
 		encoded: make([][]byte, len(parts)),
 	}
-	metric := mcfg.Metric
-	if metric == "" {
-		metric = "euclidean"
-	}
-	if mcfg.Weights != nil {
-		metric = "weighted-euclidean"
-	}
-	st.info = ModelInfo{
-		Objects: pts.Len(), Dims: pts.Dim(),
-		MinPtsLB: mcfg.MinPtsLB, MinPtsUB: mcfg.MinPtsUB,
-		Metric: metric, Distinct: mcfg.Distinct,
-		Shards: len(parts), Version: version,
-	}
+	st.info = server.InfoFor(m)
+	st.info.Shards = len(parts)
+	st.info.Version = version
 	for s, p := range parts {
 		if st.encoded[s], err = shard.EncodePart(p); err != nil {
 			return nil, fmt.Errorf("coord: encoding shard %d: %w", s, err)
@@ -365,9 +308,6 @@ func (c *Coordinator) distribute(ctx context.Context, st *state) error {
 	return nil
 }
 
-// errNoModel distinguishes "nothing fitted yet" for the HTTP layer.
-var errNoModel = errors.New("coord: no fitted model")
-
 // shardError marks a scatter-gather round that lost a shard — the class of
 // failure degraded mode may absorb.
 type shardError struct {
@@ -380,6 +320,10 @@ func (e *shardError) Error() string {
 }
 
 func (e *shardError) Unwrap() error { return e.err }
+
+// Is makes a lost shard a server.ErrUnavailable, which the front end
+// answers with 502.
+func (e *shardError) Is(target error) bool { return target == server.ErrUnavailable }
 
 // Score answers a batch of queries under the requested mode:
 //
@@ -396,7 +340,7 @@ func (e *shardError) Unwrap() error { return e.err }
 func (c *Coordinator) Score(ctx context.Context, queries [][]float64, mode string) ([]float64, string, int, error) {
 	st := c.state.Load()
 	if st == nil {
-		return nil, "", 0, errNoModel
+		return nil, "", 0, server.ErrNoModel
 	}
 	for i, q := range queries {
 		if len(q) != st.dim {
@@ -411,8 +355,6 @@ func (c *Coordinator) Score(ctx context.Context, queries [][]float64, mode strin
 		if err != nil {
 			return nil, "", 0, err
 		}
-		c.scoreQueries.Add(int64(len(queries)))
-		c.scoreModes.Add("coreset", 1)
 		return scores, "coreset", 0, nil
 	}
 	if mode == "pruned" {
@@ -420,15 +362,10 @@ func (c *Coordinator) Score(ctx context.Context, queries [][]float64, mode strin
 		if err != nil {
 			return nil, "", 0, err
 		}
-		c.scoreQueries.Add(int64(len(queries)))
-		c.scoreModes.Add("pruned", 1)
-		c.certified.Add(int64(certified))
 		return scores, "pruned", certified, nil
 	}
 	scores, err := c.scoreExact(ctx, st, queries)
 	if err == nil {
-		c.scoreQueries.Add(int64(len(queries)))
-		c.scoreModes.Add("full", 1)
 		return scores, "", 0, nil
 	}
 	var se *shardError
@@ -450,8 +387,6 @@ func (c *Coordinator) Score(ctx context.Context, queries [][]float64, mode strin
 		if derr != nil {
 			return nil, "", 0, fmt.Errorf("coord: degraded fallback after %v: %w", err, derr)
 		}
-		c.degradedHits.Add(int64(len(queries)))
-		c.scoreModes.Add("degraded", 1)
 		return scores, "degraded", 0, nil
 	}
 	return nil, "", 0, err
@@ -549,7 +484,7 @@ func (c *Coordinator) scorePruned(ctx context.Context, st *state, queries [][]fl
 	if err != nil {
 		return nil, 0, err
 	}
-	eps := c.cfg.PruneEps
+	eps := lof.DefaultPruneEps
 	out := make([]float64, nq)
 	skip := make([]bool, nq)
 	uncertain := make([][]int, nq)
@@ -923,12 +858,3 @@ func coreAggregate(a lof.Aggregation) core.Aggregate {
 		return core.AggMax
 	}
 }
-
-// discardHandler is a slog.Handler that drops everything (slog.DiscardHandler
-// arrived in Go 1.24; this build supports 1.23).
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (discardHandler) WithAttrs([]slog.Attr) slog.Handler        { return discardHandler{} }
-func (discardHandler) WithGroup(string) slog.Handler             { return discardHandler{} }

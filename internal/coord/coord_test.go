@@ -218,8 +218,8 @@ func TestOracleHTTP(t *testing.T) {
 	n, _ := resp.Body.Read(buf)
 	body := string(buf[:n])
 	for _, family := range []string{
-		"lof_coord_fits_total", "lof_coord_score_points_total",
-		"lof_coord_shard_rpc_duration_seconds", "lof_coord_snapshot_version",
+		"lof_coord_fits_total", "lof_coord_repair_pushes_total",
+		"lof_coord_shard_rpc_duration_seconds", "lof_coord_shard_failures_total",
 	} {
 		if !strings.Contains(body, family) {
 			t.Fatalf("metrics missing %s:\n%s", family, body)
@@ -384,13 +384,11 @@ func TestRepairAndFailover(t *testing.T) {
 	assertBitIdentical(t, got, want, "failover")
 }
 
-// TestScoreValidation covers the coordinator's own request validation.
+// TestScoreValidation covers the coordinator's own query validation; the
+// HTTP-level checks run in the shared front-end battery.
 func TestScoreValidation(t *testing.T) {
 	c := newCoord(t, startShards(t, 2, nil), shard.PartitionHash)
 	ctx := context.Background()
-	if _, _, _, err := c.Score(ctx, [][]float64{{0, 0}}, ""); err == nil {
-		t.Fatal("Score before any fit succeeded")
-	}
 	m := fitModel(t, lof.Config{MinPtsLB: 2, MinPtsUB: 4})
 	if _, err := c.Install(ctx, m); err != nil {
 		t.Fatalf("Install: %v", err)

@@ -121,7 +121,7 @@ func TestEndToEnd(t *testing.T) {
 	}
 
 	// Model info.
-	var info modelInfo
+	var info ModelInfo
 	if resp := getJSON(t, client, ts.URL+"/v1/model", &info); resp.StatusCode != 200 {
 		t.Fatalf("model info status %d", resp.StatusCode)
 	}

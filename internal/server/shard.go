@@ -51,9 +51,7 @@ func (s *Server) handleShardSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, fmt.Sprintf("rejecting snapshot: %v", err))
 		return
 	}
-	if info := infoFromContext(r.Context()); info != nil {
-		info.batch.Store(int64(p.Len()))
-	}
+	setBatch(r, p.Len())
 	s.part.Store(p)
 	s.version.Store(p.Version())
 	s.m.snapshots.Add(1)
@@ -85,24 +83,15 @@ func (s *Server) shardPart(w http.ResponseWriter, r *http.Request, version uint6
 
 func (s *Server) handleShardCandidates(w http.ResponseWriter, r *http.Request) {
 	var req shard.CandidatesRequest
-	if !s.decode(w, r, &req) {
+	if !decode(w, r, &req) {
 		return
 	}
-	if len(req.Queries) == 0 {
-		writeError(w, r, http.StatusBadRequest, "candidates requires a non-empty queries array")
-		return
-	}
-	if len(req.Queries) > s.cfg.MaxBatch {
-		writeError(w, r, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d exceeds limit %d", len(req.Queries), s.cfg.MaxBatch))
+	if !admitBatch(w, r, len(req.Queries), s.cfg.MaxBatch, "candidates requires a non-empty queries array") {
 		return
 	}
 	p := s.shardPart(w, r, req.Version)
 	if p == nil {
 		return
-	}
-	if info := infoFromContext(r.Context()); info != nil {
-		info.batch.Store(int64(len(req.Queries)))
 	}
 	if sp := trace.SpanFrom(r.Context()); sp != nil {
 		sp.SetAttrInt("queries", int64(len(req.Queries)))
@@ -125,24 +114,15 @@ func (s *Server) handleShardCandidates(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleShardRows(w http.ResponseWriter, r *http.Request) {
 	var req shard.RowsRequest
-	if !s.decode(w, r, &req) {
+	if !decode(w, r, &req) {
 		return
 	}
-	if len(req.Queries) == 0 {
-		writeError(w, r, http.StatusBadRequest, "rows requires a non-empty queries array")
-		return
-	}
-	if len(req.Queries) > s.cfg.MaxBatch {
-		writeError(w, r, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d exceeds limit %d", len(req.Queries), s.cfg.MaxBatch))
+	if !admitBatch(w, r, len(req.Queries), s.cfg.MaxBatch, "rows requires a non-empty queries array") {
 		return
 	}
 	p := s.shardPart(w, r, req.Version)
 	if p == nil {
 		return
-	}
-	if info := infoFromContext(r.Context()); info != nil {
-		info.batch.Store(int64(len(req.Queries)))
 	}
 	if sp := trace.SpanFrom(r.Context()); sp != nil {
 		sp.SetAttrInt("queries", int64(len(req.Queries)))
@@ -168,24 +148,15 @@ func (s *Server) handleShardRows(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleShardKDists(w http.ResponseWriter, r *http.Request) {
 	var req shard.KDistsRequest
-	if !s.decode(w, r, &req) {
+	if !decode(w, r, &req) {
 		return
 	}
-	if len(req.IDs) == 0 {
-		writeError(w, r, http.StatusBadRequest, "kdists requires a non-empty ids array")
-		return
-	}
-	if len(req.IDs) > s.cfg.MaxBatch*maxKDistsPerQuery {
-		writeError(w, r, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d ids exceeds limit %d", len(req.IDs), s.cfg.MaxBatch*maxKDistsPerQuery))
+	if !admitBatch(w, r, len(req.IDs), s.cfg.MaxBatch*maxKDistsPerQuery, "kdists requires a non-empty ids array") {
 		return
 	}
 	p := s.shardPart(w, r, req.Version)
 	if p == nil {
 		return
-	}
-	if info := infoFromContext(r.Context()); info != nil {
-		info.batch.Store(int64(len(req.IDs)))
 	}
 	if sp := trace.SpanFrom(r.Context()); sp != nil {
 		sp.SetAttrInt("ids", int64(len(req.IDs)))
@@ -209,46 +180,3 @@ func (s *Server) handleShardKDists(w http.ResponseWriter, r *http.Request) {
 // id batch for a full query batch is legitimately much larger than the
 // query batch itself.
 const maxKDistsPerQuery = 64
-
-// ReadyInfo is the /readyz body: whether this process should receive
-// routed traffic, and the snapshot version its answers would be pinned to.
-type ReadyInfo struct {
-	Ready    bool   `json:"ready"`
-	Version  uint64 `json:"version"`
-	Swapping bool   `json:"swapping"`
-	// Role is "shard" when a partition is installed, "single" otherwise.
-	Role string `json:"role"`
-	// Model reports whether a full model is loaded (single role).
-	Model bool `json:"model"`
-	// Shard layout, present in shard role.
-	Shard  int `json:"shard,omitempty"`
-	Shards int `json:"shards,omitempty"`
-	Points int `json:"points"`
-}
-
-// handleReadyz reports routing readiness: 200 once a model or partition is
-// installed and no snapshot swap is in flight, 503 otherwise. Liveness
-// stays on /healthz, which never returns 503 — an unready replica is still
-// a healthy process.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	p := s.part.Load()
-	m := s.Model()
-	info := ReadyInfo{
-		Version:  s.version.Load(),
-		Swapping: s.swapping.Load(),
-		Role:     "single",
-		Model:    m != nil,
-	}
-	if p != nil {
-		info.Role = "shard"
-		info.Shard = p.ShardID()
-		info.Shards = p.NumShards()
-		info.Points = p.Len()
-	}
-	info.Ready = !info.Swapping && (p != nil || m != nil)
-	status := http.StatusOK
-	if !info.Ready {
-		status = http.StatusServiceUnavailable
-	}
-	writeJSON(w, status, info)
-}

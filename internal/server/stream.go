@@ -90,7 +90,7 @@ type streamLOFsResponse struct {
 }
 
 type streamFreezeResponse struct {
-	modelInfo
+	ModelInfo
 	Epoch uint64 `json:"epoch"`
 }
 
@@ -104,7 +104,7 @@ func (s *Server) SetStream(p *stream.Pipeline) { s.stream.Store(p) }
 
 func (s *Server) handleStreamInit(w http.ResponseWriter, r *http.Request) {
 	var req streamInitRequest
-	if !s.decode(w, r, &req) {
+	if !decode(w, r, &req) {
 		return
 	}
 	pl, err := req.Config.Pipeline()
@@ -144,20 +144,11 @@ func (s *Server) handleStreamPush(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req streamPushRequest
-	if !s.decode(w, r, &req) {
+	if !decode(w, r, &req) {
 		return
 	}
-	if len(req.Inserts)+len(req.Deletes) == 0 {
-		writeError(w, r, http.StatusBadRequest, "stream push requires inserts or deletes")
+	if !admitBatch(w, r, len(req.Inserts)+len(req.Deletes), s.cfg.MaxBatch, "stream push requires inserts or deletes") {
 		return
-	}
-	if len(req.Inserts)+len(req.Deletes) > s.cfg.MaxBatch {
-		writeError(w, r, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d exceeds limit %d", len(req.Inserts)+len(req.Deletes), s.cfg.MaxBatch))
-		return
-	}
-	if info := infoFromContext(r.Context()); info != nil {
-		info.batch.Store(int64(len(req.Inserts) + len(req.Deletes)))
 	}
 	now := s.now()
 	if req.NowUnixNanos != 0 {
@@ -209,27 +200,18 @@ func (s *Server) handleStreamScore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req streamScoreRequest
-	if !s.decode(w, r, &req) {
+	if !decode(w, r, &req) {
 		return
 	}
-	if len(req.Queries) == 0 {
-		writeError(w, r, http.StatusBadRequest, "stream score requires a non-empty queries array")
+	if !admitBatch(w, r, len(req.Queries), s.cfg.MaxBatch, "stream score requires a non-empty queries array") {
 		return
-	}
-	if len(req.Queries) > s.cfg.MaxBatch {
-		writeError(w, r, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d exceeds limit %d", len(req.Queries), s.cfg.MaxBatch))
-		return
-	}
-	if info := infoFromContext(r.Context()); info != nil {
-		info.batch.Store(int64(len(req.Queries)))
 	}
 	scores, seq, err := pl.ScoreBatch(toGeomPoints(req.Queries))
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	s.m.batchPoints.Add(int64(len(req.Queries)))
+	s.front.scorePoints.Add(int64(len(req.Queries)))
 	resp := streamScoreResponse{Scores: make([]jsonFloat, len(scores)), Epoch: seq}
 	for i, v := range scores {
 		resp.Scores[i] = jsonFloat(v)
@@ -274,7 +256,7 @@ func (s *Server) handleStreamFreeze(w http.ResponseWriter, r *http.Request) {
 		child.SetAttrInt("objects", int64(m.Len()))
 		child.EndIn(time.Since(start))
 	}
-	writeJSON(w, http.StatusOK, streamFreezeResponse{modelInfo: infoFor(m), Epoch: seq})
+	writeJSON(w, http.StatusOK, streamFreezeResponse{ModelInfo: InfoFor(m), Epoch: seq})
 }
 
 // FreezeStreamInstall freezes the stream window and installs the result
