@@ -485,3 +485,51 @@ type fakeMetric struct{}
 
 func (fakeMetric) Distance(p, q Point) float64 { return 0 }
 func (fakeMetric) Name() string                { return "fake" }
+
+// Kernel.MinDistToRect must lower-bound Kernel.Dist exactly, with no
+// tolerance, for every row inside the box: the dynamic index's reverse
+// queries skip a subtree on the strength of it. Rows and queries share a
+// coarse grid, so coordinates often sit exactly on the box faces.
+func TestKernelMinDistToRectBoundsDist(t *testing.T) {
+	w, err := NewWeightedEuclidean([]float64{0.3, 2, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk, err := NewMinkowski(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(12))
+	coord := func() float64 {
+		if rng.Intn(2) == 0 {
+			return float64(rng.Intn(9)) / 3
+		}
+		return rng.NormFloat64() * 3
+	}
+	for _, m := range []Metric{Euclidean{}, Manhattan{}, Chebyshev{}, w, mk} {
+		for iter := 0; iter < 200; iter++ {
+			s := NewPoints(3, 0)
+			lo, hi := Point{math.Inf(1), math.Inf(1), math.Inf(1)}, Point{math.Inf(-1), math.Inf(-1), math.Inf(-1)}
+			for i := 0; i < 1+rng.Intn(6); i++ {
+				p := Point{coord(), coord(), coord()}
+				if err := s.Append(p); err != nil {
+					t.Fatal(err)
+				}
+				for j, v := range p {
+					lo[j], hi[j] = math.Min(lo[j], v), math.Max(hi[j], v)
+				}
+			}
+			k := NewKernel(s, m)
+			q := Point{coord(), coord(), coord()}
+			bound := k.MinDistToRect(q, lo, hi)
+			if _, ok := m.(Minkowski); ok && bound != 0 {
+				t.Fatalf("minkowski bound = %v, want 0", bound)
+			}
+			for i := 0; i < s.Len(); i++ {
+				if d := k.Dist(i, q); bound > d {
+					t.Fatalf("%s: bound %v exceeds Dist %v (q=%v row=%v lo=%v hi=%v)", m.Name(), bound, d, q, s.At(i), lo, hi)
+				}
+			}
+		}
+	}
+}

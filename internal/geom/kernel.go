@@ -149,3 +149,63 @@ func SqDist(p, q Point) float64 {
 	}
 	return s
 }
+
+// rectSlack shrinks every MinDistToRect bound by a relative 2⁻³²: far more
+// than the few ulps by which a compiler fusing multiply-adds in one of the
+// bound and Dist but not the other could move them apart, far less than
+// any pruning decision notices.
+const rectSlack = 1 - 0x1p-32
+
+// MinDistToRect returns a lower bound on Dist(i, q) for every row i whose
+// coordinates lie inside the axis-aligned box [lo, hi]. It holds under
+// floating point, not just over the reals: each fast path computes the
+// per-axis gap to the box (zero inside it) with the operations Dist uses
+// for the per-axis term, in the same ascending dimension order; since
+// lo[j] ≤ c[j] ≤ hi[j] for every row coordinate c[j], monotone rounding
+// keeps each gap term no larger than the row's term, and the sum, square
+// root and maximum preserve that order (DESIGN.md §9.1). Metrics without
+// such an argument — Minkowski, whose powers are not correctly rounded,
+// and generic metrics — return 0: no pruning, still exact.
+func (k *Kernel) MinDistToRect(q, lo, hi Point) float64 {
+	var lb float64
+	switch k.kind {
+	case kernEuclidean:
+		var sum float64
+		for j, v := range q {
+			d := rectGap(v, lo[j], hi[j])
+			sum += d * d
+		}
+		lb = math.Sqrt(sum)
+	case kernWeighted:
+		var sum float64
+		for j, v := range q {
+			d := rectGap(v, lo[j], hi[j])
+			sum += k.w[j] * d * d
+		}
+		lb = math.Sqrt(sum)
+	case kernManhattan:
+		for j, v := range q {
+			lb += rectGap(v, lo[j], hi[j])
+		}
+	case kernChebyshev:
+		for j, v := range q {
+			if d := rectGap(v, lo[j], hi[j]); d > lb {
+				lb = d
+			}
+		}
+	default:
+		return 0
+	}
+	return lb * rectSlack
+}
+
+// rectGap is the distance from coordinate v to the interval [lo, hi].
+func rectGap(v, lo, hi float64) float64 {
+	switch {
+	case v < lo:
+		return lo - v
+	case v > hi:
+		return v - hi
+	}
+	return 0
+}

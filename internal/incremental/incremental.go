@@ -9,14 +9,20 @@
 // tests verify after every update.
 //
 // Neighborhood and reverse-neighbor queries run through a dynamic spatial
-// index (internal/index/dynamic: immutable k-d tree base plus overlay and
+// index (internal/index/dynamic: k-d tree base plus overlay and
 // tombstones), so the cost of one update tracks the size of the affected
-// neighborhood rather than the dataset. Reverse k-nearest-neighbor sets
-// are found exactly with one range query: every point q with
-// d(q,p) ≤ kdist(q) lies within maxKdist of p, where maxKdist is a
-// maintained upper bound on all live k-distances, so Range(p, maxKdist)
-// plus a per-candidate k-distance check yields the reverse set without a
-// linear scan.
+// neighborhood rather than the dataset. The index also holds every live
+// point's k-distance, which is what makes reverse k-nearest-neighbor sets
+// — the points o with d(o,p) ≤ kdist(o) — a query of their own: each base
+// node carries the largest k-distance under it, so a subtree whose box
+// lies farther from p than that maximum is skipped. An outlier's large
+// k-distance therefore costs only the subtrees it lies in, not every
+// query (see DESIGN.md §9.1).
+//
+// The sets an update touches are kept in detector-owned dense scratch:
+// epoch-stamped per-slot marks plus index lists, reused across updates.
+// Every density and LOF refresh depends only on values settled before its
+// phase starts, so the visit order does not change a single bit.
 package incremental
 
 import (
@@ -28,13 +34,6 @@ import (
 	"lof/internal/index"
 	"lof/internal/index/dynamic"
 )
-
-// boundRecomputeEvery is how many updates may pass before the k-distance
-// upper bound is recomputed exactly. Deletions only ever leave the bound
-// stale-high (a correct but looser reverse-query radius), so a periodic
-// exact pass keeps query cost tight at O(Size/boundRecomputeEvery)
-// amortized per update.
-const boundRecomputeEvery = 64
 
 // Detector is a dynamic (insert/delete) LOF maintenance structure. It is
 // not safe for concurrent mutation; read-only scoring against a quiescent
@@ -52,6 +51,9 @@ type Detector struct {
 
 	// nn[i] is point i's MinPts-distance neighborhood (with ties), sorted
 	// by (distance, index). Empty until at least minPts+1 points exist.
+	// kdist is ix's view of the k-distances, which ix indexes for reverse
+	// queries: written only through ix.SetKDist, re-fetched after every
+	// ix.Insert and ix.Compact.
 	nn    [][]index.Neighbor
 	kdist []float64
 	lrd   []float64
@@ -61,19 +63,25 @@ type Detector struct {
 	// touched, for observability and the locality tests.
 	lastAffected int
 
-	// kdistBound is an upper bound on every live point's current
-	// k-distance — the reverse-query radius. Raised eagerly whenever a
-	// recomputed k-distance exceeds it, tightened exactly every
-	// boundRecomputeEvery updates and on every rebuild.
-	kdistBound   float64
-	updatesSince int
+	// revEvals and revHits count, since New, the distances the reverse
+	// queries evaluated and the reverse neighbors they returned.
+	revEvals, revHits int64
 
-	// scratch stages one neighborhood per recomputeNeighborhood call;
-	// rscratch stages reverse-range candidates; icands holds the filtered
-	// reverse-neighbor indices while their neighborhoods are recomputed.
-	scratch  []index.Neighbor
-	rscratch []index.Neighbor
-	icands   []int
+	// Per-update scratch, reused so an update allocates nothing once warm.
+	// scratch stages one neighborhood per recomputeNeighborhood call; rev
+	// holds one reverse query's result. nbChanged and kdChanged list the
+	// points whose neighborhood or k-distance an update changed; lrdDirty,
+	// lrdChanged and lofDirty are propagate's sets. A slot is in the set
+	// being built when stamp[slot] == epoch.
+	scratch    []index.Neighbor
+	rev        []int
+	nbChanged  []int
+	kdChanged  []int
+	lrdDirty   []int
+	lrdChanged []int
+	lofDirty   []int
+	stamp      []uint32
+	epoch      uint32
 }
 
 // New creates an empty incremental detector. dim is the dimensionality of
@@ -121,6 +129,11 @@ func (d *Detector) Deleted(i int) bool { return d.ix.Deleted(i) }
 // or deleted by that update.
 func (d *Detector) LastAffected() int { return d.lastAffected }
 
+// Work returns the cumulative cost of the detector's reverse-neighbor
+// queries since New: the distances they evaluated and the reverse
+// neighbors they found. Both are deterministic for a given op sequence.
+func (d *Detector) Work() (distEvals, hits int64) { return d.revEvals, d.revHits }
+
 // LOF returns point i's current LOF (NaN for deleted points and
 // out-of-range indices, matching the documented "no such live point"
 // behavior instead of panicking). Before minPts+1 points exist, every LOF
@@ -151,10 +164,11 @@ func (d *Detector) Insert(p geom.Point) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	d.kdist = d.ix.KDists()
 	d.nn = append(d.nn, nil)
-	d.kdist = append(d.kdist, math.Inf(1))
 	d.lrd = append(d.lrd, math.Inf(1))
 	d.lof = append(d.lof, 1)
+	d.stamp = append(d.stamp, 0)
 
 	n := d.ix.Len()
 	if n <= d.minPts+1 {
@@ -171,27 +185,11 @@ func (d *Detector) Insert(p geom.Point) (int, error) {
 
 	// 2. Reverse neighbors: points q whose MinPts-distance neighborhood
 	// absorbs p (d(q,p) ≤ kdist(q)). Their neighborhoods — and possibly
-	// k-distances — change. Candidates come from one range query at the
-	// k-distance upper bound; the filter applies each point's own bound.
-	kdistChanged := map[int]bool{i: true}
-	neighborhoodChanged := map[int]bool{i: true}
-	d.icands = d.icands[:0]
-	d.rscratch = d.cur.RangeInto(d.rscratch[:0], d.ix.At(i), d.kdistBound, i)
-	for _, nb := range d.rscratch {
-		if nb.Dist <= d.kdist[nb.Index] {
-			d.icands = append(d.icands, nb.Index)
-		}
-	}
-	for _, q := range d.icands {
-		old := d.kdist[q]
-		d.recomputeNeighborhood(q)
-		neighborhoodChanged[q] = true
-		if d.kdist[q] != old {
-			kdistChanged[q] = true
-		}
-	}
-	d.propagate(kdistChanged, neighborhoodChanged)
-	d.countUpdate()
+	// k-distances — change.
+	d.nbChanged = append(d.nbChanged[:0], i)
+	d.kdChanged = append(d.kdChanged[:0], i)
+	d.refreshReverse(i)
+	d.propagate()
 	return i, nil
 }
 
@@ -205,12 +203,10 @@ func (d *Detector) Delete(i int) error {
 	if d.ix.Deleted(i) {
 		return fmt.Errorf("incremental: point %d already deleted", i)
 	}
-	p := d.ix.At(i).Clone()
 	if err := d.ix.Delete(i); err != nil {
 		return err
 	}
 	d.nn[i] = nil
-	d.kdist[i] = math.Inf(1)
 	d.lrd[i] = math.Inf(1)
 	d.lof[i] = math.NaN()
 
@@ -221,111 +217,118 @@ func (d *Detector) Delete(i int) error {
 	}
 
 	// Points that held i in their neighborhood lose a neighbor; their
-	// k-distances can only grow. The candidate range query uses the
-	// pre-delete k-distances, which the bound still covers.
-	kdistChanged := map[int]bool{}
-	neighborhoodChanged := map[int]bool{}
-	d.icands = d.icands[:0]
-	d.rscratch = d.cur.RangeInto(d.rscratch[:0], p, d.kdistBound, i)
-	for _, nb := range d.rscratch {
-		if nb.Dist <= d.kdist[nb.Index] {
-			d.icands = append(d.icands, nb.Index)
-		}
-	}
-	for _, q := range d.icands {
-		old := d.kdist[q]
-		d.recomputeNeighborhood(q)
-		neighborhoodChanged[q] = true
-		if d.kdist[q] != old {
-			kdistChanged[q] = true
-		}
-	}
-	d.propagate(kdistChanged, neighborhoodChanged)
+	// k-distances can only grow. The reverse query still sees their
+	// pre-delete k-distances; i's own coordinates outlive its tombstone.
+	d.nbChanged = d.nbChanged[:0]
+	d.kdChanged = d.kdChanged[:0]
+	d.refreshReverse(i)
+	d.propagate()
 	// Count the removed point itself, mirroring Insert's "including the
 	// inserted point" contract.
 	d.lastAffected++
-	d.countUpdate()
 	return nil
 }
 
-// countUpdate ticks the periodic exact recomputation of the k-distance
-// upper bound.
-func (d *Detector) countUpdate() {
-	d.updatesSince++
-	if d.updatesSince >= boundRecomputeEvery {
-		d.recomputeBound()
-	}
-}
-
-// recomputeBound tightens kdistBound to the exact maximum live
-// k-distance.
-func (d *Detector) recomputeBound() {
-	d.updatesSince = 0
-	bound := 0.0
-	for q := 0; q < d.ix.Size(); q++ {
-		if !d.ix.Deleted(q) && d.kdist[q] > bound {
-			bound = d.kdist[q]
+// refreshReverse recomputes the neighborhood of every live point that
+// holds slot p in its neighborhood, listing them in nbChanged and those
+// whose k-distance moved in kdChanged. The reverse set is taken in full
+// before the first recomputation changes any k-distance.
+func (d *Detector) refreshReverse(p int) {
+	d.reverse(p)
+	for _, q := range d.rev {
+		old := d.kdist[q]
+		d.recomputeNeighborhood(q)
+		d.nbChanged = append(d.nbChanged, q)
+		if d.kdist[q] != old {
+			d.kdChanged = append(d.kdChanged, q)
 		}
 	}
-	d.kdistBound = bound
 }
 
-// reverseDirty marks every live point whose neighborhood contains c. A
-// live point o holds c in its neighborhood exactly when d(o,c) ≤ kdist(o)
+// reverse sets d.rev to every live point other than c whose neighborhood
+// contains c: a live point o holds c exactly when d(o,c) ≤ kdist(o)
 // (neighborhoods are maintained as "all live points within the
-// k-distance"), so one bounded range query around c plus the
-// per-candidate check finds the set without a scan.
-func (d *Detector) reverseDirty(c int, mark map[int]bool) {
-	d.rscratch = d.cur.RangeInto(d.rscratch[:0], d.ix.At(c), d.kdistBound, c)
-	for _, nb := range d.rscratch {
-		if nb.Dist <= d.kdist[nb.Index] {
-			mark[nb.Index] = true
-		}
-	}
+// k-distance"), which is the index's reverse query.
+func (d *Detector) reverse(c int) {
+	var evals int
+	d.rev, evals = d.ix.ReverseInto(d.rev[:0], d.ix.At(c), c)
+	d.revEvals += int64(evals)
+	d.revHits += int64(len(d.rev))
 }
 
-// propagate refreshes densities and LOFs downstream of neighborhood and
-// k-distance changes — the shared tail of Insert and Delete.
-func (d *Detector) propagate(kdistChanged, neighborhoodChanged map[int]bool) {
+// nextEpoch starts a new dense set: no slot carries the returned stamp.
+func (d *Detector) nextEpoch() uint32 {
+	d.epoch++
+	if d.epoch == 0 { // wrapped: old stamps could collide
+		clear(d.stamp)
+		d.epoch = 1
+	}
+	return d.epoch
+}
 
+// add appends o to set unless it already carries stamp e.
+func (d *Detector) add(set []int, o int, e uint32) []int {
+	if d.stamp[o] != e {
+		d.stamp[o] = e
+		set = append(set, o)
+	}
+	return set
+}
+
+// addReverse adds to set, under stamp e, every live point whose
+// neighborhood contains c.
+func (d *Detector) addReverse(set []int, c int, e uint32) []int {
+	d.reverse(c)
+	for _, o := range d.rev {
+		set = d.add(set, o, e)
+	}
+	return set
+}
+
+// propagate refreshes densities and LOFs downstream of the neighborhood
+// and k-distance changes listed in nbChanged and kdChanged — the shared
+// tail of Insert and Delete.
+func (d *Detector) propagate() {
 	// Densities to refresh: any point whose neighborhood changed, plus
 	// any point with a kdist-changed neighbor (its reachability distances
 	// shift).
-	lrdDirty := map[int]bool{}
-	for q := range neighborhoodChanged {
+	e := d.nextEpoch()
+	d.lrdDirty = d.lrdDirty[:0]
+	for _, q := range d.nbChanged {
 		if !d.ix.Deleted(q) {
-			lrdDirty[q] = true
+			d.lrdDirty = d.add(d.lrdDirty, q, e)
 		}
 	}
-	for c := range kdistChanged {
+	for _, c := range d.kdChanged {
 		if !d.ix.Deleted(c) {
-			d.reverseDirty(c, lrdDirty)
+			d.lrdDirty = d.addReverse(d.lrdDirty, c, e)
 		}
 	}
-	lrdChanged := map[int]bool{}
-	for o := range lrdDirty {
+	d.lrdChanged = d.lrdChanged[:0]
+	for _, o := range d.lrdDirty {
 		old := d.lrd[o]
 		d.lrd[o] = d.computeLRD(o)
 		if d.lrd[o] != old {
-			lrdChanged[o] = true
+			d.lrdChanged = append(d.lrdChanged, o)
 		}
 	}
 
 	// LOFs to refresh: every density-dirty point, plus points with a
 	// density-changed neighbor.
-	lofDirty := map[int]bool{}
-	for o := range lrdDirty {
-		lofDirty[o] = true
+	e = d.nextEpoch()
+	d.lofDirty = d.lofDirty[:0]
+	for _, o := range d.lrdDirty {
+		d.lofDirty = d.add(d.lofDirty, o, e)
 	}
-	for c := range lrdChanged {
+	for _, c := range d.lrdChanged {
 		if !d.ix.Deleted(c) {
-			d.reverseDirty(c, lofDirty)
+			d.lofDirty = d.addReverse(d.lofDirty, c, e)
 		}
 	}
-	for x := range lofDirty {
+	for _, x := range d.lofDirty {
 		d.lof[x] = d.computeLOF(x)
 	}
-	d.lastAffected = len(lofDirty)
+	d.lastAffected = len(d.lofDirty)
 }
 
 // recomputeNeighborhood rebuilds point q's neighborhood through the
@@ -343,16 +346,13 @@ func (d *Detector) recomputeNeighborhood(q int) {
 	row = row[:len(ns)]
 	copy(row, ns)
 	d.nn[q] = row
+	kd := math.Inf(1)
 	if len(ns) >= d.minPts {
-		d.kdist[q] = ns[d.minPts-1].Dist
+		kd = ns[d.minPts-1].Dist
 	} else if len(ns) > 0 {
-		d.kdist[q] = ns[len(ns)-1].Dist
-	} else {
-		d.kdist[q] = math.Inf(1)
+		kd = ns[len(ns)-1].Dist
 	}
-	if d.kdist[q] > d.kdistBound {
-		d.kdistBound = d.kdist[q]
-	}
+	d.ix.SetKDist(q, kd)
 }
 
 func (d *Detector) computeLRD(o int) float64 {
@@ -398,8 +398,7 @@ func ratio(lrdO, lrdP float64) float64 {
 }
 
 // rebuildAll recomputes every structure from scratch (used while the
-// dataset is still smaller than MinPts+2) and retightens the k-distance
-// bound.
+// dataset is still smaller than MinPts+2).
 func (d *Detector) rebuildAll() {
 	n := d.ix.Size()
 	for q := 0; q < n; q++ {
@@ -417,7 +416,6 @@ func (d *Detector) rebuildAll() {
 			d.lof[x] = d.computeLOF(x)
 		}
 	}
-	d.recomputeBound()
 }
 
 // Compact rebuilds the detector over only its live points, dropping every
@@ -428,46 +426,32 @@ func (d *Detector) rebuildAll() {
 // remapping: remap[old] is the new index of old's point, or -1 if old was
 // deleted.
 func (d *Detector) Compact() []int {
-	size := d.ix.Size()
-	remap := make([]int, size)
-	nix := dynamic.New(d.Dim(), d.metric)
-	nn := make([][]index.Neighbor, 0, d.ix.Len())
-	kdist := make([]float64, 0, d.ix.Len())
-	lrd := make([]float64, 0, d.ix.Len())
-	lof := make([]float64, 0, d.ix.Len())
-	for i := 0; i < size; i++ {
-		if d.ix.Deleted(i) {
-			remap[i] = -1
+	remap := d.ix.Compact()
+	live := d.ix.Len()
+	nn := make([][]index.Neighbor, 0, live)
+	lrd := make([]float64, 0, live)
+	lof := make([]float64, 0, live)
+	for old, slot := range remap {
+		if slot < 0 {
 			continue
 		}
-		slot, err := nix.Insert(d.ix.At(i))
-		if err != nil {
-			// Stored coordinates were validated on their original insert.
-			panic(fmt.Sprintf("incremental: compact re-insert: %v", err))
-		}
-		remap[i] = slot
-		nn = append(nn, d.nn[i])
-		kdist = append(kdist, d.kdist[i])
-		lrd = append(lrd, d.lrd[i])
-		lof = append(lof, d.lof[i])
+		nn = append(nn, d.nn[old])
+		lrd = append(lrd, d.lrd[old])
+		lof = append(lof, d.lof[old])
 	}
-	nix.Rebuild()
 	for _, row := range nn {
 		for j := range row {
 			row[j].Index = remap[row[j].Index]
 		}
 	}
-	d.ix = nix
-	d.cur = nix.NewCursor()
-	d.nn, d.kdist, d.lrd, d.lof = nn, kdist, lrd, lof
-	d.recomputeBound()
+	d.nn, d.kdist, d.lrd, d.lof = nn, d.ix.KDists(), lrd, lof
+	d.stamp, d.epoch = make([]uint32, live), 0
 	return remap
 }
 
-// NewCursor returns a query cursor over the detector's current index, for
-// use with ScoreAtCursor. Cursors are single-goroutine objects; allocate
-// one per concurrent reader. A cursor is bound to the detector's index at
-// call time: Compact replaces the index, invalidating prior cursors.
+// NewCursor returns a query cursor over the detector's index, for use
+// with ScoreAtCursor. Cursors are single-goroutine objects; allocate one
+// per concurrent reader, and never use one while the detector mutates.
 func (d *Detector) NewCursor() index.Cursor { return d.ix.NewCursor() }
 
 // ScoreAt returns the LOF the query point would receive from a full batch
@@ -527,7 +511,7 @@ func (d *Detector) ScoreAtCursor(cur index.Cursor, q geom.Point) (float64, error
 		}
 		doq := d.ix.DistTo(o, q)
 		r := mrow{nn: d.nn[o], kdist: d.kdist[o]}
-		if doq <= d.kdist[o] {
+		if doq <= r.kdist {
 			old := d.nn[o]
 			cand := make([]index.Neighbor, 0, len(old)+1)
 			at := len(old)

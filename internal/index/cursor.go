@@ -64,12 +64,23 @@ func (c *legacyCursor) RangeInto(dst []Neighbor, q geom.Point, r float64, exclud
 	return append(dst, c.ix.Range(q, r, exclude)...)
 }
 
+// tiesCursor is implemented by cursors that find the k-distance
+// neighborhood in one traversal (the dynamic index's), with the exact
+// semantics of KNNWithTiesInto.
+type tiesCursor interface {
+	KNNWithTiesInto(dst []Neighbor, q geom.Point, k int, exclude int) []Neighbor
+}
+
 // KNNWithTiesInto is KNNWithTies through a cursor: it appends the
 // k-distance neighborhood of q (Definition 4, ties included) to dst and
 // returns the extended slice. The intermediate kNN result is staged in dst
 // itself and replaced by the range expansion, so the call allocates only
-// when dst must grow.
+// when dst must grow. A cursor with its own KNNWithTiesInto method answers
+// through it instead.
 func KNNWithTiesInto(c Cursor, dst []Neighbor, q geom.Point, k int, exclude int) []Neighbor {
+	if tc, ok := c.(tiesCursor); ok {
+		return tc.KNNWithTiesInto(dst, q, k, exclude)
+	}
 	if k <= 0 {
 		return dst
 	}

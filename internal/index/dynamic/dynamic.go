@@ -2,38 +2,46 @@
 // growing, tombstoned point set — the spatial index behind the incremental
 // LOF detector. The in-tree index structures (kdtree, grid, vafile, …) are
 // immutable after construction, which is the right trade for batch fits but
-// useless under a stream of inserts and deletes. This package composes
-// them into a dynamic structure using the classic base-plus-delta scheme:
+// useless under a stream of inserts and deletes. This package builds a
+// dynamic structure on the classic base-plus-delta scheme:
 //
-//   - a base: an immutable index (k-d tree) built over a compacted snapshot
-//     of the live points at the last rebuild;
+//   - a base: a k-d tree (tree.go) built over a compacted copy of the live
+//     points at the last rebuild;
 //   - an overlay: the points inserted since that rebuild, queried by
 //     sequential scan;
 //   - tombstones: a deleted-bit per slot; deletions never move points, they
-//     only mark them, and queries filter marked results.
+//     only mark them.
 //
-// A query therefore costs one base probe (asking for k plus the number of
-// base points tombstoned since the rebuild, so filtering can never starve
-// the result) plus a scan of the overlay. When the overlay or the tombstone
-// backlog outgrows a fraction of the base, the index rebuilds: the live
-// points are compacted into a fresh base and both deltas reset. Rebuild
-// cost is O(n log n) amortized over the Θ(n) updates that triggered it, so
-// per-update cost tracks the affected neighborhood, not the dataset.
+// Tombstones are skipped inside the base traversal, not filtered out of
+// its result: every base node knows whether a live point remains under
+// it, so a kNN probe keeps a heap of exactly k however large the
+// tombstone backlog grows. When the overlay or the backlog outgrows a
+// fraction of the base, the index rebuilds: the live points are compacted
+// into a fresh base and both deltas reset. Rebuild cost is O(n log n)
+// amortized over the Θ(n) updates that triggered it, so per-update cost
+// tracks the affected neighborhood, not the dataset.
+//
+// Each slot also carries a k-distance (SetKDist; +Inf until set), which
+// the base aggregates per node as the largest live k-distance under it.
+// ReverseInto uses those maxima to answer the reverse-kNN question of
+// incremental LOF maintenance — which live o have d(o,q) ≤ kd(o)? —
+// exactly, pruning each node by its own maximum instead of one global
+// radius (the RdNN-tree of Korn & Muthukrishnan, SIGMOD 2000).
 //
 // Results are exact and bit-identical to a sequential scan over the live
-// points: the base index computes distances with the same metric, and ties
-// are broken by the canonical (distance, index) order on the *global* slot
-// indices. The index is not safe for concurrent mutation; reads through
-// separate cursors are safe once mutation stops (the epoch layer in
-// internal/stream enforces exactly that discipline).
+// points: the base computes distances with the same kernel over copied
+// coordinates, and ties are broken by the canonical (distance, index)
+// order on the *global* slot indices. The index is not safe for concurrent
+// mutation; reads through separate cursors are safe once mutation stops
+// (the epoch layer in internal/stream enforces exactly that discipline).
 package dynamic
 
 import (
 	"fmt"
+	"math"
 
 	"lof/internal/geom"
 	"lof/internal/index"
-	"lof/internal/index/kdtree"
 )
 
 // rebuildMinOverlay is the overlay size below which rebuilds never trigger:
@@ -41,8 +49,8 @@ import (
 const rebuildMinOverlay = 32
 
 // Index is a dynamic kNN index over tombstoned slots. Slot indices are
-// stable across all mutations: Insert appends a slot, Delete marks one, and
-// query results carry slot indices.
+// stable across Insert and Delete: Insert appends a slot, Delete marks
+// one, and query results carry slot indices. Only Compact renumbers.
 type Index struct {
 	pts    *geom.Points
 	metric geom.Metric
@@ -52,20 +60,25 @@ type Index struct {
 	kern geom.Kernel
 
 	deleted []bool
-	live    int
+	// kd is each slot's k-distance as last set by SetKDist (+Inf until
+	// then and after Delete).
+	kd   []float64
+	live int
 
-	// base indexes basePts, a compacted copy of the points that were live
-	// at the last rebuild; baseIDs maps base positions back to slot
-	// indices, and slotToBase the inverse (-1 for slots not in the base).
-	base       index.Index
-	basePts    *geom.Points
-	baseIDs    []int
-	slotToBase []int32
-	// baseDead counts base points tombstoned since the rebuild; base kNN
-	// queries over-fetch by this amount so filtering cannot starve them.
+	// base covers the slots below overlayStart that were live at the last
+	// rebuild; slotPos maps those slots to base positions (-1 for slots
+	// that were already tombstoned). nil while no point was live.
+	base    *tree
+	slotPos []int32
+	// baseDead counts base points tombstoned since the rebuild.
 	baseDead int
 	// overlayStart is the first slot not covered by the base.
 	overlayStart int
+
+	// rev and revEvals stage the in-flight ReverseInto result and its
+	// distance count, so the tree recursion appends without a heap escape.
+	rev      []int
+	revEvals int
 }
 
 // New returns an empty dynamic index for dim-dimensional points under m
@@ -103,6 +116,23 @@ func (ix *Index) Deleted(i int) bool {
 	return i < 0 || i >= len(ix.deleted) || ix.deleted[i]
 }
 
+// KDists returns a view of every slot's k-distance as last set by
+// SetKDist (+Inf when never set, and after Delete). The view stays current
+// until the next Insert or Compact, which may move it; callers must not
+// modify it.
+func (ix *Index) KDists() []float64 { return ix.kd }
+
+// SetKDist records live slot i's k-distance, which ReverseInto tests it
+// against, and repairs the base's per-node maxima. A k-distance is never
+// negative (+Inf stands for "not defined yet"): the base marks tombstones
+// with -Inf.
+func (ix *Index) SetKDist(i int, v float64) {
+	ix.kd[i] = v
+	if i < ix.overlayStart && ix.slotPos[i] >= 0 && !ix.deleted[i] {
+		ix.base.set(ix.slotPos[i], v)
+	}
+}
+
 // Insert appends p as a new slot and returns its index. The coordinates
 // are copied; the caller may reuse p's backing array afterwards.
 func (ix *Index) Insert(p geom.Point) (int, error) {
@@ -110,14 +140,15 @@ func (ix *Index) Insert(p geom.Point) (int, error) {
 		return 0, err
 	}
 	ix.deleted = append(ix.deleted, false)
+	ix.kd = append(ix.kd, math.Inf(1))
 	ix.live++
 	i := ix.pts.Len() - 1
 	ix.maybeRebuild()
 	return i, nil
 }
 
-// Delete tombstones slot i. The slot keeps its index; it just stops
-// appearing in query results.
+// Delete tombstones slot i. The slot keeps its index and coordinates; it
+// just stops appearing in query results.
 func (ix *Index) Delete(i int) error {
 	if i < 0 || i >= ix.pts.Len() {
 		return fmt.Errorf("dynamic: slot %d out of range [0, %d)", i, ix.pts.Len())
@@ -126,8 +157,10 @@ func (ix *Index) Delete(i int) error {
 		return fmt.Errorf("dynamic: slot %d already deleted", i)
 	}
 	ix.deleted[i] = true
+	ix.kd[i] = math.Inf(1)
 	ix.live--
-	if i < ix.overlayStart && ix.slotToBase[i] >= 0 {
+	if i < ix.overlayStart && ix.slotPos[i] >= 0 {
+		ix.base.set(ix.slotPos[i], math.Inf(-1))
 		ix.baseDead++
 	}
 	ix.maybeRebuild()
@@ -142,40 +175,101 @@ func (ix *Index) maybeRebuild() {
 	if overlay < rebuildMinOverlay && ix.baseDead < rebuildMinOverlay {
 		return
 	}
-	if overlay*4 < len(ix.baseIDs) && ix.baseDead*2 < len(ix.baseIDs) {
+	baseLen := 0
+	if ix.base != nil {
+		baseLen = len(ix.base.ids)
+	}
+	if overlay*4 < baseLen && ix.baseDead*2 < baseLen {
 		return
 	}
 	ix.Rebuild()
 }
 
-// Rebuild forces compaction: live points are copied into a fresh base
-// index and the overlay and tombstone backlog reset. Queries answer
-// identically before and after.
+// Rebuild forces compaction: live points are copied into a fresh base and
+// the overlay and tombstone backlog reset. Queries answer identically
+// before and after.
 func (ix *Index) Rebuild() {
 	n := ix.pts.Len()
-	basePts := geom.NewPoints(ix.pts.Dim(), ix.live)
-	baseIDs := make([]int, 0, ix.live)
-	slotToBase := make([]int32, n)
-	for i := 0; i < n; i++ {
-		if ix.deleted[i] {
-			slotToBase[i] = -1
-			continue
-		}
-		slotToBase[i] = int32(len(baseIDs))
-		// Append copies the coordinates, so the base snapshot stays valid
-		// when ix.pts grows and reallocates underneath it.
-		_ = basePts.Append(ix.pts.At(i))
-		baseIDs = append(baseIDs, i)
-	}
-	ix.basePts = basePts
-	ix.baseIDs = baseIDs
-	ix.slotToBase = slotToBase
+	ix.slotPos = make([]int32, n)
 	ix.baseDead = 0
 	ix.overlayStart = n
-	if basePts.Len() > 0 {
-		ix.base = kdtree.New(basePts, ix.metric)
-	} else {
-		ix.base = nil
+	ix.base = nil
+	if ix.live > 0 {
+		ix.base = newTree(ix.pts, ix.deleted, ix.kd, ix.metric, ix.slotPos)
+	}
+}
+
+// Compact drops every tombstoned slot: live points keep their relative
+// order, coordinates and k-distances but move to dense slots [0, Len), and
+// the base is rebuilt over them. It returns the remapping: remap[old] is
+// the new slot of old's point, or -1 if old was deleted. Cursors stay
+// valid.
+func (ix *Index) Compact() []int {
+	remap := make([]int, ix.pts.Len())
+	pts := geom.NewPoints(ix.Dim(), ix.live)
+	kd := make([]float64, 0, ix.live)
+	for i := range remap {
+		if ix.deleted[i] {
+			remap[i] = -1
+			continue
+		}
+		remap[i] = pts.Len()
+		_ = pts.Append(ix.pts.At(i)) // validated on the original insert
+		kd = append(kd, ix.kd[i])
+	}
+	ix.pts, ix.kern, ix.kd = pts, geom.NewKernel(pts, ix.metric), kd
+	ix.deleted = make([]bool, ix.live)
+	ix.Rebuild()
+	return remap
+}
+
+// ReverseInto appends to dst every live slot o ≠ exclude whose distance
+// to q is at most o's k-distance (SetKDist), in no particular order, and
+// returns the extended slice with the number of distances it evaluated.
+// Each base node is pruned by its own largest k-distance; overlay slots
+// are checked one by one. The distances compare bit for bit with
+// KNNInto's and RangeInto's.
+func (ix *Index) ReverseInto(dst []int, q geom.Point, exclude int) ([]int, int) {
+	ix.rev, ix.revEvals = dst, 0
+	if t := ix.base; t != nil {
+		ix.reverse(t, 0, q, exclude)
+	}
+	for i := ix.overlayStart; i < ix.pts.Len(); i++ {
+		if i == exclude || ix.deleted[i] {
+			continue
+		}
+		ix.revEvals++
+		if ix.kern.Dist(i, q) <= ix.kd[i] {
+			ix.rev = append(ix.rev, i)
+		}
+	}
+	dst = ix.rev
+	ix.rev = nil
+	return dst, ix.revEvals
+}
+
+// reverse visits node n unless its box lies farther from q than the
+// largest live k-distance under it (tombstoned subtrees hold -Inf and are
+// always skipped).
+func (ix *Index) reverse(t *tree, n int32, q geom.Point, exclude int) {
+	if t.lowerBound(n, q) > t.maxKd[n] {
+		return
+	}
+	nd := t.nodes[n]
+	if nd.left >= 0 {
+		ix.reverse(t, nd.left, q, exclude)
+		ix.reverse(t, nd.right, q, exclude)
+		return
+	}
+	for pos := nd.start; pos < nd.end; pos++ {
+		kd := t.kd[pos]
+		if kd < 0 || t.ids[pos] == exclude {
+			continue
+		}
+		ix.revEvals++
+		if t.kern.Dist(int(pos), q) <= kd {
+			ix.rev = append(ix.rev, t.ids[pos])
+		}
 	}
 }
 
@@ -197,35 +291,23 @@ func (ix *Index) NewCursor() index.Cursor {
 	return &Cursor{ix: ix, h: index.NewHeap(0)}
 }
 
-// Cursor owns the candidate heap, base-probe scratch and sorter for one
-// query stream; see index.Cursor.
+// Cursor owns the candidate heap and sorter for one query stream; see
+// index.Cursor.
 type Cursor struct {
-	ix      *Index
-	h       *index.Heap
-	sorter  index.Sorter
-	scratch []index.Neighbor
-	// baseCur is a cursor over the current base; rebuilt lazily when the
-	// base it was created for is replaced.
-	baseCur index.Cursor
-	baseFor index.Index
+	ix     *Index
+	h      *index.Heap
+	sorter index.Sorter
+	// out stages the in-flight RangeInto destination so the recursion can
+	// append without a heap escape.
+	out []index.Neighbor
+	// ties makes kNN pushes also collect into cand every candidate not
+	// farther than the heap's worst at the time (KNNWithTiesInto).
+	ties bool
+	cand []index.Neighbor
 }
 
 // Index returns the cursor's index.
 func (c *Cursor) Index() index.Index { return c.ix }
-
-// cursor returns a cursor over the current base, reusing the previous one
-// while the base is unchanged.
-func (c *Cursor) cursor() index.Cursor {
-	base := c.ix.base
-	if base == nil {
-		return nil
-	}
-	if c.baseFor != base {
-		c.baseCur = index.NewCursor(base)
-		c.baseFor = base
-	}
-	return c.baseCur
-}
 
 // KNNInto appends the k nearest live neighbors of q to dst, sorted by
 // (distance, slot index), self-excluded via exclude; all live points when
@@ -234,34 +316,91 @@ func (c *Cursor) KNNInto(dst []index.Neighbor, q geom.Point, k int, exclude int)
 	if k <= 0 {
 		return dst
 	}
-	ix := c.ix
-	c.h.Reset(k)
-	if bc := c.cursor(); bc != nil {
-		// Over-fetch by the tombstone backlog: of the k+baseDead nearest
-		// base points at most baseDead are dead, leaving ≥ k live ones
-		// (when the base holds that many). Self-exclusion happens here when
-		// the excluded slot is a base point, in the overlay scan otherwise.
-		baseK := k + ix.baseDead
-		baseExclude := index.ExcludeNone
-		if exclude >= 0 && exclude < ix.overlayStart && ix.slotToBase[exclude] >= 0 {
-			baseExclude = int(ix.slotToBase[exclude])
-		}
-		c.scratch = bc.KNNInto(c.scratch[:0], q, baseK, baseExclude)
-		for _, nb := range c.scratch {
-			slot := ix.baseIDs[nb.Index]
-			if ix.deleted[slot] {
-				continue
-			}
-			c.h.Push(index.Neighbor{Index: slot, Dist: nb.Dist})
+	c.probe(q, k, exclude)
+	return c.h.AppendSorted(dst)
+}
+
+// KNNWithTiesInto is index.KNNWithTiesInto — the k-distance neighborhood
+// of q, ties included, sorted by (distance, slot index) — in one traversal
+// instead of a kNN probe plus a range query at its k-distance. Every
+// candidate not farther than the heap's worst when it arrives is kept;
+// the worst only shrinks, so the kept ones include every point within the
+// final k-distance, and pruned subtrees lie beyond it.
+func (c *Cursor) KNNWithTiesInto(dst []index.Neighbor, q geom.Point, k int, exclude int) []index.Neighbor {
+	if k <= 0 {
+		return dst
+	}
+	c.ties, c.cand = true, c.cand[:0]
+	c.probe(q, k, exclude)
+	c.ties = false
+	kdist, full := c.h.Worst()
+	if !full {
+		return c.h.AppendSorted(dst) // fewer than k live points: no ties
+	}
+	start := len(dst)
+	for _, nb := range c.cand {
+		if nb.Dist <= kdist {
+			dst = append(dst, nb)
 		}
 	}
+	c.sorter.Sort(dst[start:])
+	return dst
+}
+
+// probe fills the heap with the k nearest live neighbors of q. The
+// overlay goes first: a full heap lets the base prune from its root.
+func (c *Cursor) probe(q geom.Point, k int, exclude int) {
+	ix := c.ix
+	c.h.Reset(k)
 	for i := ix.overlayStart; i < ix.pts.Len(); i++ {
 		if i == exclude || ix.deleted[i] {
 			continue
 		}
-		c.h.Push(index.Neighbor{Index: i, Dist: ix.kern.Dist(i, q)})
+		c.push(index.Neighbor{Index: i, Dist: ix.kern.Dist(i, q)})
 	}
-	return c.h.AppendSorted(dst)
+	if t := ix.base; t != nil {
+		c.knn(t, 0, t.lowerBound(0, q), q, exclude)
+	}
+}
+
+// push offers a kNN candidate to the heap and, under ties, to cand.
+func (c *Cursor) push(nb index.Neighbor) {
+	if c.ties {
+		if w, full := c.h.Worst(); full && nb.Dist > w {
+			return
+		}
+		c.cand = append(c.cand, nb)
+	}
+	c.h.Push(nb)
+}
+
+// knn visits node n, whose box lies at least lb from q, unless no live
+// point remains under it or the heap already holds k closer candidates.
+// Children are visited nearer box first.
+func (c *Cursor) knn(t *tree, n int32, lb float64, q geom.Point, exclude int) {
+	if t.maxKd[n] < 0 {
+		return
+	}
+	if w, full := c.h.Worst(); full && lb > w {
+		return
+	}
+	nd := t.nodes[n]
+	if nd.left >= 0 {
+		near, far := nd.left, nd.right
+		lbNear, lbFar := t.lowerBound(near, q), t.lowerBound(far, q)
+		if lbFar < lbNear {
+			near, far, lbNear, lbFar = far, near, lbFar, lbNear
+		}
+		c.knn(t, near, lbNear, q, exclude)
+		c.knn(t, far, lbFar, q, exclude)
+		return
+	}
+	for pos := nd.start; pos < nd.end; pos++ {
+		if t.kd[pos] < 0 || t.ids[pos] == exclude {
+			continue
+		}
+		c.push(index.Neighbor{Index: t.ids[pos], Dist: t.kern.Dist(int(pos), q)})
+	}
 }
 
 // RangeInto appends every live point within distance r of q (inclusive) to
@@ -272,28 +411,40 @@ func (c *Cursor) RangeInto(dst []index.Neighbor, q geom.Point, r float64, exclud
 	}
 	ix := c.ix
 	start := len(dst)
-	if bc := c.cursor(); bc != nil {
-		baseExclude := index.ExcludeNone
-		if exclude >= 0 && exclude < ix.overlayStart && ix.slotToBase[exclude] >= 0 {
-			baseExclude = int(ix.slotToBase[exclude])
-		}
-		c.scratch = bc.RangeInto(c.scratch[:0], q, r, baseExclude)
-		for _, nb := range c.scratch {
-			slot := ix.baseIDs[nb.Index]
-			if ix.deleted[slot] {
-				continue
-			}
-			dst = append(dst, index.Neighbor{Index: slot, Dist: nb.Dist})
-		}
+	c.out = dst
+	if t := ix.base; t != nil {
+		c.rangeQuery(t, 0, q, r, exclude)
 	}
 	for i := ix.overlayStart; i < ix.pts.Len(); i++ {
 		if i == exclude || ix.deleted[i] {
 			continue
 		}
 		if d := ix.kern.Dist(i, q); d <= r {
-			dst = append(dst, index.Neighbor{Index: i, Dist: d})
+			c.out = append(c.out, index.Neighbor{Index: i, Dist: d})
 		}
 	}
+	dst = c.out
+	c.out = nil
 	c.sorter.Sort(dst[start:])
 	return dst
+}
+
+func (c *Cursor) rangeQuery(t *tree, n int32, q geom.Point, r float64, exclude int) {
+	if t.maxKd[n] < 0 || t.lowerBound(n, q) > r {
+		return
+	}
+	nd := t.nodes[n]
+	if nd.left >= 0 {
+		c.rangeQuery(t, nd.left, q, r, exclude)
+		c.rangeQuery(t, nd.right, q, r, exclude)
+		return
+	}
+	for pos := nd.start; pos < nd.end; pos++ {
+		if t.kd[pos] < 0 || t.ids[pos] == exclude {
+			continue
+		}
+		if d := t.kern.Dist(int(pos), q); d <= r {
+			c.out = append(c.out, index.Neighbor{Index: t.ids[pos], Dist: d})
+		}
+	}
 }

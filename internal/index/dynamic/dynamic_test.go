@@ -108,8 +108,9 @@ func TestRandomOpsMatchNaive(t *testing.T) {
 	}
 }
 
-// TestTombstoneBacklogOverfetch pins the over-fetch invariant: deleting
-// base points between rebuilds must not starve kNN results.
+// TestTombstoneBacklogOverfetch pins that tombstones inside the base never
+// starve a kNN probe: deleting base points between rebuilds must not
+// shorten or change its result.
 func TestTombstoneBacklogOverfetch(t *testing.T) {
 	ix := New(1, nil)
 	for i := 0; i < 100; i++ {
